@@ -9,7 +9,6 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.analysis.bootstrap import ConfidenceInterval
 
@@ -55,6 +54,10 @@ def weighted_mean_ci(
         raise ValueError("confidence must lie in (0, 1)")
     mean = weighted_mean(values, weights)
     se = weighted_standard_error(values, weights)
+    # Imported here: scipy.stats dominates import time, and the fleet path
+    # (which imports this module) never builds an interval through it.
+    from scipy import stats as sps
+
     z = float(sps.norm.ppf(0.5 + confidence / 2.0))
     return ConfidenceInterval(
         point=mean, low=mean - z * se, high=mean + z * se, confidence=confidence

@@ -50,8 +50,6 @@ from repro.abr.base import AbrAlgorithm, ChunkRecord
 from repro.abr.bba import BBA
 from repro.abr.bola import Bola
 from repro.abr.rate_based import RateBased
-from repro.batch.menus import MenuBlockSource
-from repro.media.encoder import CHUNK_DURATION
 from repro.experiment.consort import ConsortArm, ConsortFlow, classify_stream
 from repro.experiment.harness import (
     SessionResult,
@@ -62,6 +60,7 @@ from repro.experiment.harness import (
     run_session,
 )
 from repro.experiment.schemes import SchemeSpec
+from repro.media.menus import MenuBlockSource, stream_block_chunks
 from repro.net.cc.base import DEFAULT_MSS, INITIAL_CWND_SEGMENTS
 from repro.net.link import _LazyEpochLink
 from repro.net.path import PathSampler
@@ -298,9 +297,7 @@ class _BatchEngine:
         lane.menusrc = MenuBlockSource(
             channel,
             media_rng,
-            # One right-sized block covers the whole stream in the common
-            # (no tail extension) case; +4 absorbs the final-chunk overrun.
-            first_block_chunks=int(watch / CHUNK_DURATION) + 4,
+            first_block_chunks=stream_block_chunks(watch),
         )
         lane.has_hook = kind == "view"
         lane.algo.begin_stream()

@@ -46,8 +46,8 @@ from repro.experiment.consort import (
 )
 from repro.experiment.schemes import SchemeSpec
 from repro.experiment.watch import ViewerModel
-from repro.media.encoder import VbrEncoder
-from repro.media.source import DEFAULT_CHANNELS, Channel, VideoSource
+from repro.media.menus import MenuBlockSource, stream_block_chunks
+from repro.media.source import DEFAULT_CHANNELS, Channel
 from repro.net.path import NetworkPath, PathSampler, PopulationModel
 from repro.net.tcp import TransmissionResult
 from repro.streaming.session import StreamResult
@@ -394,8 +394,11 @@ def session_machine(
         media_rng = np.random.default_rng(
             media_seed(config.seed, session_id, stream_no)
         )
-        source = VideoSource(channel, rng=media_rng)
-        encoder = VbrEncoder(rng=media_rng)
+        menus = MenuBlockSource(
+            channel,
+            media_rng,
+            first_block_chunks=stream_block_chunks(watch),
+        )
         hook = (
             config.viewer.make_extension_hook(rng)
             if kind == "view"
@@ -403,7 +406,7 @@ def session_machine(
         )
         stream_id = session_id * config.max_streams_per_session + stream_no
         result = yield from stream_machine(
-            encoder.stream(source),
+            menus,
             algorithm,
             transport,
             watch_time_s=watch,

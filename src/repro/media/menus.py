@@ -1,6 +1,6 @@
-"""Block-generated chunk menus, bit-identical to the scalar media pipeline.
+"""Block-generated chunk menus, bit-identical to the per-chunk encoder.
 
-The scalar path builds each menu through ``VideoSource`` →
+The reference pipeline builds each menu through ``VideoSource`` →
 ``SceneComplexityProcess.step`` → ``VbrEncoder.encode_chunk``, consuming the
 per-stream media generator in the fixed order
 
@@ -11,18 +11,24 @@ per chunk.  ``MenuBlockSource`` draws the same sequence — one ``random()``
 and one ``standard_normal(2 + rungs)`` block per chunk, which numpy's
 Generator produces bit-identically to the scalar calls — then evaluates the
 encoder arithmetic for a whole block of chunks with stacked array math in
-the scalar evaluation order.  Over-generation is invisible: the media
-generator feeds nothing but menus, and the scalar simulator's lookahead
-window already consumes menus ahead of the playhead.
+the scalar evaluation order.
+
+Every executor draws its menus here: the batch kernel reads the block rows
+directly, and the scalar session machine (hence the cell engine and the
+retrain workers) iterates the source as :class:`ChunkMenu` objects.  Both
+rely on one contract: over-generation is invisible.  The per-stream media
+generator feeds nothing but menus, so materializing chunks past the end of
+a stream changes no value any session observes.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
+from repro.media.chunk import ChunkMenu, EncodedChunk
 from repro.media.encoder import CHUNK_DURATION, _MAX_SSIM_DB, _MIN_SSIM_DB
 from repro.media.ladder import PUFFER_LADDER, EncodingLadder
 from repro.media.source import Channel
@@ -34,12 +40,20 @@ MAX_BLOCK_CHUNKS = 1024
 """Cap on a single block so a pathological hint cannot balloon memory."""
 
 
+def stream_block_chunks(watch_s: float) -> int:
+    """First-block size for a stream the viewer means to watch ``watch_s``
+    seconds: one right-sized block covers the whole stream in the common
+    (no tail extension) case; +4 absorbs the final-chunk overrun."""
+    return int(watch_s / CHUNK_DURATION) + 4
+
+
 class MenuBlockSource:
     """Per-stream menu stream yielding (sizes, ssims) rows per chunk.
 
-    Replicates ``VideoSource(channel, rng=media_rng)`` +
-    ``VbrEncoder(rng=media_rng)`` with the harness defaults; every float it
-    produces equals the scalar pipeline's bit for bit.
+    Replicates ``VideoSource(channel, rng=rng)`` + ``VbrEncoder(rng=rng,
+    ...)`` with the same encoder parameters; every float it produces equals
+    the per-chunk pipeline's bit for bit.  Iterating the source yields the
+    endless :class:`ChunkMenu` stream ``VbrEncoder.stream`` would.
     """
 
     def __init__(
@@ -57,17 +71,25 @@ class MenuBlockSource:
         """``first_block_chunks`` (when positive) sizes only the first
         block — callers that know the stream's expected chunk count pass it
         so short streams don't over-generate and long streams don't pay the
-        per-block fixed cost repeatedly.  Block sizing never affects the
-        values produced, only how far ahead they are materialized."""
-        if block_chunks < 1:
-            raise ValueError("block_chunks must be >= 1")
+        per-block fixed cost repeatedly.  It is clamped to
+        ``MAX_BLOCK_CHUNKS``.  Block sizing never affects the values
+        produced, only how far ahead they are materialized."""
+        if size_noise_sigma < 0 or quality_noise_sigma < 0:
+            raise ValueError("noise sigmas must be non-negative")
+        if chunk_duration <= 0:
+            raise ValueError("chunk duration must be positive")
+        if not 1 <= block_chunks <= MAX_BLOCK_CHUNKS:
+            raise ValueError(
+                f"block_chunks must lie in [1, {MAX_BLOCK_CHUNKS}]"
+            )
         self._rng = rng
         self._channel = channel
-        self._n_rungs = len(ladder)
+        self._profiles = tuple(ladder)
+        self._n_rungs = len(self._profiles)
         self.chunk_duration = chunk_duration
         self._block_chunks = block_chunks
         self._next_block_chunks = (
-            min(max(first_block_chunks, 1), MAX_BLOCK_CHUNKS)
+            min(first_block_chunks, MAX_BLOCK_CHUNKS)
             if first_block_chunks > 0
             else block_chunks
         )
@@ -85,11 +107,11 @@ class MenuBlockSource:
         # target_bitrate * chunk_duration, the scalar expression's first two
         # factors, precomputed per rung.
         self._tb_cd = np.array(
-            [p.target_bitrate * chunk_duration for p in ladder],
+            [p.target_bitrate * chunk_duration for p in self._profiles],
             dtype=np.float64,
         )
         self._base_ssim = np.array(
-            [p.base_ssim_db for p in ladder], dtype=np.float64
+            [p.base_ssim_db for p in self._profiles], dtype=np.float64
         )
         self._sizes = np.empty((0, self._n_rungs), dtype=np.float64)
         self._ssims = np.empty((0, self._n_rungs), dtype=np.float64)
@@ -127,6 +149,9 @@ class MenuBlockSource:
             log_cs[i] = log_c
         self._log_c = log_c
         complexity = np.exp(log_cs)
+        # VbrEncoder.encode_chunk's per-chunk guard, once per block.
+        if (complexity <= 0).any():
+            raise ValueError("complexity must be positive")
         # Size noise is lognormal; numpy's lognormal(m, s) equals
         # math.exp(m + s * standard_normal()) bit for bit (np.exp does NOT).
         size_noise = np.array(
@@ -182,7 +207,17 @@ class MenuBlockSource:
         """The ``(sizes_bytes, ssims_db)`` ndarray rows for ``row``."""
         return self._sizes[row], self._ssims[row]
 
-    def next_menu(self) -> Tuple[int, np.ndarray, np.ndarray]:
-        """The next chunk's ``(chunk_index, sizes_bytes, ssims_db)`` rows."""
-        index, row = self.next_row()
-        return index, self._sizes[row], self._ssims[row]
+    def __iter__(self) -> Iterator[ChunkMenu]:
+        """Endless :class:`ChunkMenu` stream, one menu per chunk."""
+        profiles = self._profiles
+        duration = self.chunk_duration
+        while True:
+            index, row = self.next_row()
+            yield ChunkMenu(
+                [
+                    EncodedChunk(index, profile, size, ssim, duration)
+                    for profile, size, ssim in zip(
+                        profiles, self.sizes_lists[row], self.ssims_lists[row]
+                    )
+                ]
+            )

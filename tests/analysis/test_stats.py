@@ -1,5 +1,10 @@
 """Tests for repro.analysis.stats — weighted statistics and CCDFs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -105,3 +110,20 @@ class TestStreamYears:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             stream_years(-1.0)
+
+
+def test_fleet_and_edge_import_leaves_scipy_unloaded():
+    """scipy.stats dominates import time; only ``weighted_mean_ci`` needs it,
+    so the fleet and edge packages must not pull it in at import."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import sys, repro.fleet, repro.edge; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
