@@ -229,7 +229,7 @@ class Cs2pPredictor:
     ) -> TimeDistribution:
         observations = [
             r.observed_throughput_bps
-            for r in list(context.history)[-self.window :]
+            for r in context.history[-self.window :]
         ]
         belief = self.hmm.state_belief(observations)
         future = belief @ np.linalg.matrix_power(

@@ -13,15 +13,22 @@ the :class:`TransmissionTimeModel` supplying ``P[T̂(K_i^s) = T_j]``:
   time per candidate size);
 * Fugu's TTP returns a full 21-bin probability distribution.
 
-The implementation runs the backward recursion with numpy over the buffer
-grid, which is the vectorized equivalent of the paper's memoized forward
-recursion over reachable states.
+The implementation is a backward pass over the whole buffer grid, stacked
+over the horizon. It first asks the model for every step's distribution
+(last step first), then computes in one numpy pass everything the
+continuation value does not depend on: each step's stall, immediate reward,
+next-buffer bin and variation penalty. The backward loop is then left with
+a gather from the next step's (bin, rung) value table, the expectation over
+outcomes and the max over rungs. Step 0 is evaluated at the current
+buffer's bin only, the one column the decision reads. Every lookahead menu
+must have the same number of rungs and the model the same number of
+outcomes at every step; both are checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -110,8 +117,12 @@ class ValueIterationController:
         self._grid = np.arange(0.0, max_buffer_s + buffer_bin_s / 2, buffer_bin_s)
 
     def _bin_index(self, buffer_s: np.ndarray) -> np.ndarray:
-        idx = np.rint(buffer_s / self.buffer_bin_s).astype(int)
-        return np.clip(idx, 0, len(self._grid) - 1)
+        """Nearest grid bin of each buffer level; overwrites ``buffer_s``."""
+        buffer_s /= self.buffer_bin_s
+        idx: np.ndarray = np.rint(buffer_s, out=buffer_s).astype(int)
+        np.minimum(idx, len(self._grid) - 1, out=idx)
+        np.maximum(idx, 0, out=idx)
+        return idx
 
     def plan(
         self,
@@ -132,78 +143,91 @@ class ValueIterationController:
             obs.counter_inc("controller.plans")
             obs.counter_inc("controller.plan_steps", float(steps))
         with obs.span("controller.plan"):
-            return self._plan(context, model, steps)
+            return int(np.argmax(self._scores(context, model, steps)))
 
-    def _plan(
+    def _scores(
         self,
         context: "AbrContext",
         model: TransmissionTimeModel,
         steps: int,
-    ) -> int:
+    ) -> np.ndarray:
+        """Expected QoE-to-go of each rung of ``context.menu``."""
         menus = context.lookahead[:steps]
-        n_bins = len(self._grid)
-        grid = self._grid
+        n_rungs = len(menus[0])
+        if any(len(menu) != n_rungs for menu in menus):
+            raise ValueError("lookahead menus must share one rung count")
 
-        # Backward pass. V[b, a_prev] = max expected QoE-to-go from buffer
-        # bin b when the previous chunk used rung a_prev of the previous
-        # step's menu.
-        value: Optional[np.ndarray] = None  # shape (n_bins, n_prev_rungs)
-        first_step_ev: Optional[np.ndarray] = None
+        # Predict every step first, last step first as the backward pass
+        # consumes them (models may keep state between calls).
+        dists: List[TimeDistribution] = []
         for step in range(steps - 1, -1, -1):
-            menu = menus[step]
-            n_rungs = len(menu)
-            sizes = np.asarray(menu.sizes)
-            qualities = np.asarray(menu.ssims_db)
-            duration = menu.duration
-            dist = model.predict(context, step, sizes)
+            dist = model.predict(context, step, menus[step].size_array)
             if dist.times.shape[0] != n_rungs:
                 raise ValueError("model returned wrong number of versions")
-            times = dist.times  # (n_rungs, k)
-            probs = dist.probs
+            if dists and dist.times.shape[1] != dists[0].times.shape[1]:
+                raise ValueError(
+                    "model returned a different outcome count at another step"
+                )
+            dists.append(dist)
+        dists.reverse()
+        times = np.array([dist.times for dist in dists])  # (steps, rungs, k)
+        probs = np.array([dist.probs for dist in dists])
+        qualities = np.array([menu.ssim_array for menu in menus])
+        durations = np.array([menu.duration for menu in menus])
 
-            # stall[a, b, j] and next-buffer bins; vectorized over the grid.
-            t = times[:, None, :]  # (n_rungs, 1, k)
-            b = grid[None, :, None]  # (1, n_bins, 1)
-            stall = np.maximum(t - b, 0.0)
-            next_buffer = np.minimum(
-                np.maximum(b - t, 0.0) + duration, self.max_buffer_s
-            )
-            # Expected immediate reward without the variation term.
-            immediate = (
-                self.qoe.quality_weight * qualities[:, None, None]
-                - self.qoe.stall_weight * stall
-            )
+        # Everything the continuation value does not depend on, for every
+        # step, rung, buffer bin and outcome at once: (steps, rungs, bins,
+        # k). For a 21-outcome model these are the planner's largest arrays,
+        # so each is built in place.
+        t = times[:, :, None, :]
+        b = self._grid[None, None, :, None]
+        next_buffer = b - t
+        np.maximum(next_buffer, 0.0, out=next_buffer)
+        next_buffer += durations[:, None, None, None]
+        np.minimum(next_buffer, self.max_buffer_s, out=next_buffer)
+        # Flat index of (next bin, this rung) in the (bins, rungs) value
+        # table the following step leaves behind.
+        flat = self._bin_index(next_buffer)
+        flat *= n_rungs
+        flat += np.arange(n_rungs)[:, None, None]
+        # Reward without the variation term, q_a - µ · max(t - b, 0), in
+        # the array _bin_index has spent.
+        immediate = next_buffer
+        np.subtract(t, b, out=immediate)
+        np.maximum(immediate, 0.0, out=immediate)
+        np.multiply(self.qoe.stall_weight, immediate, out=immediate)
+        np.subtract(
+            self.qoe.quality_weight * qualities[:, :, None, None],
+            immediate,
+            out=immediate,
+        )
+        # penalty[s, a, p] = λ |q_a - q_p|, rung a at step s + 1 after rung
+        # p at step s.
+        penalty = self.qoe.variation_weight * np.abs(
+            qualities[1:, :, None] - qualities[:-1, None, :]
+        )
+
+        # Backward pass. value[b, p] = max expected QoE-to-go from buffer
+        # bin b when the previous chunk used rung p.
+        value: Optional[np.ndarray] = None
+        for step in range(steps - 1, 0, -1):
+            reward = immediate[step]
             if value is not None:
-                nb_idx = self._bin_index(next_buffer)  # (n_rungs, n_bins, k)
-                # Continuation indexed by (next bin, this rung as a_prev).
-                cont = value[nb_idx, np.arange(n_rungs)[:, None, None]]
-                immediate = immediate + cont
-            # Expectation over outcomes j.
-            ev = (immediate * probs[:, None, :]).sum(axis=2)  # (n_rungs, n_bins)
+                reward = value.take(flat[step])
+                reward += immediate[step]
+            reward *= probs[step, :, None, :]
+            ev = reward.sum(axis=2)  # (rungs, bins)
+            value = (ev[:, :, None] - penalty[step - 1][:, None, :]).max(axis=0)
 
-            if step == 0:
-                first_step_ev = ev
-                break
-
-            # Build V for the previous step: subtract the variation penalty
-            # |q_a - q_prev| for every previous rung.
-            prev_menu = menus[step - 1]
-            prev_qualities = np.asarray(prev_menu.ssims_db)
-            # penalty[a, p] = λ |q_a - q_prev_p|
-            penalty = self.qoe.variation_weight * np.abs(
-                qualities[:, None] - prev_qualities[None, :]
-            )
-            # candidate[a, b, p] = ev[a, b] - penalty[a, p]
-            candidate = ev[:, :, None] - penalty[:, None, :]
-            value = candidate.max(axis=0).reshape(n_bins, len(prev_menu))
-
-        assert first_step_ev is not None
-        menu0 = menus[0]
-        qualities0 = np.asarray(menu0.ssims_db)
-        b0 = self._bin_index(np.asarray([context.buffer_s]))[0]
-        scores = first_step_ev[:, b0].copy()
+        # Step 0 only at the current buffer's bin, the one the decision
+        # reads: (rungs, k).
+        b0 = self._bin_index(np.array([context.buffer_s], dtype=float))[0]
+        reward0 = immediate[0, :, b0]
+        if value is not None:
+            reward0 = value.take(flat[0, :, b0]) + reward0
+        scores: np.ndarray = (reward0 * probs[0]).sum(axis=1)
         if context.last_ssim_db is not None:
             scores -= self.qoe.variation_weight * np.abs(
-                qualities0 - context.last_ssim_db
+                qualities[0] - context.last_ssim_db
             )
-        return int(np.argmax(scores))
+        return scores

@@ -98,7 +98,7 @@ def tcp_features(info: TcpInfo) -> np.ndarray:
 def history_features(history: Sequence[ChunkRecord]) -> np.ndarray:
     """Past-chunk feature block: 8 sizes then 8 transmission times, oldest
     first, zero-padded on the left when the stream is young."""
-    recent = list(history)[-HISTORY_LEN:]
+    recent = history[-HISTORY_LEN:]
     sizes = np.zeros(HISTORY_LEN)
     times = np.zeros(HISTORY_LEN)
     offset = HISTORY_LEN - len(recent)

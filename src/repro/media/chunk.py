@@ -8,7 +8,10 @@ chunk the ABR algorithm chooses among — the "limited menu" of §2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence, Tuple
+
+import numpy as np
 
 from repro.media.ladder import EncodingProfile
 
@@ -89,8 +92,24 @@ class ChunkMenu:
     def ssims_db(self) -> Tuple[float, ...]:
         return tuple(v.ssim_db for v in self.versions)
 
+    @cached_property
+    def size_array(self) -> np.ndarray:
+        """:attr:`sizes` as a read-only float64 array, built once."""
+        return _frozen(self.sizes)
+
+    @cached_property
+    def ssim_array(self) -> np.ndarray:
+        """:attr:`ssims_db` as a read-only float64 array, built once."""
+        return _frozen(self.ssims_db)
+
     def version_for_profile(self, profile: EncodingProfile) -> EncodedChunk:
         for version in self.versions:
             if version.profile == profile:
                 return version
         raise KeyError(f"menu has no version for profile {profile.name!r}")
+
+
+def _frozen(values: Tuple[float, ...]) -> np.ndarray:
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array

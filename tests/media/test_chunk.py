@@ -1,5 +1,6 @@
 """Tests for repro.media.chunk — encoded chunks and menus."""
 
+import numpy as np
 import pytest
 
 from repro.media.chunk import ChunkMenu, EncodedChunk
@@ -54,6 +55,23 @@ class TestChunkMenu:
         )
         assert menu.sizes == (100, 200)
         assert menu.ssims_db == (5.0, 8.0)
+
+    def test_arrays_built_once_and_read_only(self):
+        menu = ChunkMenu(
+            [make_version(rung=1, size=200, ssim=8.0),
+             make_version(rung=0, size=100, ssim=5.0)]
+        )
+        for array, values in (
+            (menu.size_array, menu.sizes),
+            (menu.ssim_array, menu.ssims_db),
+        ):
+            assert array.dtype == np.float64
+            assert array.tolist() == list(values)
+            assert not array.flags.writeable
+        assert menu.size_array is menu.size_array
+        assert menu.ssim_array is menu.ssim_array
+        with pytest.raises(ValueError):
+            menu.size_array[0] = 1.0
 
     def test_version_for_profile(self):
         v0 = make_version(rung=0)
