@@ -18,7 +18,7 @@ paper's 21 bins: [0, 0.25), [0.25, 0.75), …, [9.75, ∞) (§4.5).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 import numpy as np
 
@@ -140,6 +140,58 @@ def make_feature_matrix(
     return np.concatenate(
         [matrix, np.asarray(_scale_size(sizes_bytes))[:, None]], axis=1
     )
+
+
+_TCP_LOG_SCALES = np.array(
+    [CWND_LOG_SCALE, CWND_LOG_SCALE, RTT_LOG_SCALE, RTT_LOG_SCALE,
+     DELIVERY_RATE_LOG_SCALE]
+)
+"""Per-column divisors of the ``tcp_info`` block, in feature order."""
+
+
+def stream_feature_rows(
+    records: Sequence[ChunkRecord],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every decision point of one stream at once, for training.
+
+    Returns ``(context, scaled_sizes)``: row ``i`` of the ``(n, 21)``
+    context is the history-and-``tcp_info`` part of
+    :func:`make_feature_matrix` for ``history=records[:i]`` and
+    ``info=records[i].info_at_send``, and ``scaled_sizes[j]`` is the
+    proposed-size feature of chunk ``j``.  The history block is a
+    left-zero-padded sliding window over the per-chunk columns, so each
+    value goes through the same elementwise ``log1p(x / scale)`` as the
+    per-row builder and the rows are bit-identical to it.
+    """
+    n = len(records)
+    columns = np.array(
+        [
+            (
+                r.size_bytes,
+                r.transmission_time,
+                r.info_at_send.cwnd,
+                r.info_at_send.in_flight,
+                r.info_at_send.min_rtt,
+                r.info_at_send.rtt,
+                r.info_at_send.delivery_rate,
+            )
+            for r in records
+        ],
+        dtype=float,
+    ).reshape(n, 2 + N_TCP_FEATURES)
+    if np.any(columns[:, 0] <= 0):
+        raise ValueError("proposed sizes must be positive")
+    sizes = np.asarray(_scale_size(columns[:, 0]))
+    times = np.asarray(_scale_time(columns[:, 1]))
+    pad = np.zeros(HISTORY_LEN)
+    windows = [
+        np.lib.stride_tricks.sliding_window_view(
+            np.concatenate((pad, column)), HISTORY_LEN
+        )[:n]
+        for column in (sizes, times)
+    ]
+    tcp = np.log1p(columns[:, 2:] / _TCP_LOG_SCALES)
+    return np.concatenate(windows + [tcp], axis=1), sizes
 
 
 # Indices of feature groups, for the ablation study (§4.6).

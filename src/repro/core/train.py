@@ -18,7 +18,11 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.features import FEATURE_DIM
+from repro.core.features import (
+    FEATURE_DIM,
+    PROPOSED_SIZE_INDEX,
+    stream_feature_rows,
+)
 from repro.core.ttp import TransmissionTimePredictor
 from repro.learn.losses import SoftmaxCrossEntropy
 from repro.learn.optim import Adam
@@ -71,23 +75,26 @@ def build_ttp_datasets(
     still be pooled across a retraining window.
     """
     horizon = predictor.config.horizon
+    mask = predictor.config.feature_mask()
     features: List[List[np.ndarray]] = [[] for _ in range(horizon)]
     labels: List[List[int]] = [[] for _ in range(horizon)]
     for stream in streams:
         records = stream.records
-        for i in range(len(records)):
-            history = records[:i]
-            info = records[i].info_at_send
-            max_k = min(horizon, len(records) - i)
-            if max_k <= 0:
-                continue
-            sizes = np.array(
-                [records[i + k].size_bytes for k in range(max_k)]
+        n = len(records)
+        if n == 0:
+            continue
+        # Row i of step k is chunk i's context with chunk i+k's size; the
+        # mask is elementwise, so masking the blocks once equals masking
+        # every assembled row.
+        context, sizes = stream_feature_rows(records)
+        context = context * mask[:PROPOSED_SIZE_INDEX]
+        sizes = sizes * mask[PROPOSED_SIZE_INDEX]
+        stream_labels = [predictor.label_for(record) for record in records]
+        for k in range(min(horizon, n)):
+            features[k].append(
+                np.concatenate((context[: n - k], sizes[k:, None]), axis=1)
             )
-            rows = predictor.masked_features(history, info, sizes)
-            for k in range(max_k):
-                features[k].append(rows[k])
-                labels[k].append(predictor.label_for(records[i + k]))
+            labels[k].extend(stream_labels[k:])
     datasets: List[Dataset] = []
     for k in range(horizon):
         if not features[k]:
@@ -97,7 +104,7 @@ def build_ttp_datasets(
             raise ValueError(
                 f"no training examples for horizon step {k}; need longer streams"
             )
-        x = np.vstack(features[k])
+        x = np.concatenate(features[k])
         y = np.asarray(labels[k], dtype=int)
         w = np.full(len(y), float(sample_weight))
         datasets.append(Dataset(x, y, w))
@@ -337,11 +344,19 @@ class DailyRetrainer:
             return None
         return [Dataset.concatenate(parts) for parts in per_step]
 
-    def retrain(self) -> List[TrainingReport]:
-        """Retrain on the window, recency-weighted, warm-started."""
+    def retrain(
+        self, datasets: Optional[Sequence[Dataset]] = None
+    ) -> List[TrainingReport]:
+        """Retrain on the window, recency-weighted, warm-started.
+
+        ``datasets`` is this window's :meth:`window_datasets`, when the
+        caller has already built it (the fleet's day boundary also
+        evaluates on it); ``None`` builds it here.
+        """
         if not self._days:
             raise RuntimeError("no telemetry ingested yet")
-        datasets = self.window_datasets()
+        if datasets is None:
+            datasets = self.window_datasets()
         if datasets is None:
             raise ValueError(
                 "no training examples for some horizon step in the window; "

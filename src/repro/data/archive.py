@@ -22,8 +22,11 @@ import csv
 import io
 import os
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union,
+)
 
 from repro.atomio import atomic_write_bytes
 from repro.streaming.telemetry import (
@@ -46,6 +49,17 @@ _BUFFER_COLUMNS = [
     "time", "stream_id", "expt_id", "event", "buffer", "cum_rebuf",
 ]
 
+_ROW_ENCODERS: Dict[str, Callable[[Any], Tuple[Any, ...]]] = {
+    "video_sent": attrgetter(*_SENT_COLUMNS),
+    "video_acked": attrgetter(*_ACKED_COLUMNS),
+    "client_buffer": attrgetter(
+        *["event.value" if c == "event" else c for c in _BUFFER_COLUMNS]
+    ),
+}
+"""Record -> CSV row, one per table: the record's fields in column order
+(the enum's string value for ``event``), exactly what ``csv.DictWriter``
+writes for the record's ``to_dict()``."""
+
 
 @dataclass(frozen=True)
 class ArchiveDay:
@@ -55,6 +69,14 @@ class ArchiveDay:
     video_sent: Path
     video_acked: Path
     client_buffer: Path
+
+    def tables(self) -> List[Tuple[str, Path, List[str]]]:
+        """(table name, path, columns) of the three tables."""
+        return [
+            ("video_sent", self.video_sent, _SENT_COLUMNS),
+            ("video_acked", self.video_acked, _ACKED_COLUMNS),
+            ("client_buffer", self.client_buffer, _BUFFER_COLUMNS),
+        ]
 
     @classmethod
     def in_directory(cls, directory: Union[str, Path]) -> "ArchiveDay":
@@ -82,26 +104,12 @@ def write_archive_day(
     day = ArchiveDay.in_directory(directory)
     day.directory.mkdir(parents=True, exist_ok=True)
 
-    buffer = io.StringIO(newline="")
-    writer = csv.DictWriter(buffer, fieldnames=_SENT_COLUMNS)
-    writer.writeheader()
-    for record in telemetry.video_sent:
-        writer.writerow(record.to_dict())
-    atomic_write_bytes(day.video_sent, buffer.getvalue().encode("utf-8"))
-
-    buffer = io.StringIO(newline="")
-    writer = csv.DictWriter(buffer, fieldnames=_ACKED_COLUMNS)
-    writer.writeheader()
-    for record in telemetry.video_acked:
-        writer.writerow(record.to_dict())
-    atomic_write_bytes(day.video_acked, buffer.getvalue().encode("utf-8"))
-
-    buffer = io.StringIO(newline="")
-    writer = csv.DictWriter(buffer, fieldnames=_BUFFER_COLUMNS)
-    writer.writeheader()
-    for record in telemetry.client_buffer:
-        writer.writerow(record.to_dict())
-    atomic_write_bytes(day.client_buffer, buffer.getvalue().encode("utf-8"))
+    for table, path, columns in day.tables():
+        buffer = io.StringIO(newline="")
+        writer = csv.writer(buffer)
+        writer.writerow(columns)
+        writer.writerows(map(_ROW_ENCODERS[table], getattr(telemetry, table)))
+        atomic_write_bytes(path, buffer.getvalue().encode("utf-8"))
 
     return day
 
@@ -128,7 +136,7 @@ class ArchiveAppender:
         self.day.directory.mkdir(parents=True, exist_ok=True)
         self._files = {}
         self._writers = {}
-        for name, path, columns in self._tables():
+        for name, path, columns in self.day.tables():
             fresh = not path.exists() or path.stat().st_size == 0
             f = open(path, "a", newline="")
             # Append mode leaves the reported position implementation-
@@ -136,30 +144,19 @@ class ArchiveAppender:
             # ``offsets()`` is meaningful before any append.
             f.seek(0, os.SEEK_END)
             self._files[name] = f
-            writer = csv.DictWriter(f, fieldnames=columns)
+            writer = csv.writer(f)
             self._writers[name] = writer
             if fresh:
-                writer.writeheader()
+                writer.writerow(columns)
         self.flush()
-
-    def _tables(self) -> List[Tuple[str, Path, List[str]]]:
-        return [
-            ("video_sent", self.day.video_sent, _SENT_COLUMNS),
-            ("video_acked", self.day.video_acked, _ACKED_COLUMNS),
-            ("client_buffer", self.day.client_buffer, _BUFFER_COLUMNS),
-        ]
 
     # ------------------------------------------------------------------
     # Appending
     # ------------------------------------------------------------------
     def append(self, telemetry: TelemetryLog) -> None:
         """Append one batch of rows (typically one committed session)."""
-        for record in telemetry.video_sent:
-            self._writers["video_sent"].writerow(record.to_dict())
-        for record in telemetry.video_acked:
-            self._writers["video_acked"].writerow(record.to_dict())
-        for record in telemetry.client_buffer:
-            self._writers["client_buffer"].writerow(record.to_dict())
+        for name, encode in _ROW_ENCODERS.items():
+            self._writers[name].writerows(map(encode, getattr(telemetry, name)))
 
     def flush(self, sync: bool = False) -> None:
         """Flush buffered rows; ``sync=True`` additionally fsyncs (called
@@ -199,12 +196,12 @@ class ArchiveAppender:
         so every appended row is uncommitted.  The result is
         byte-identical to a freshly created archive.
         """
-        for name, _path, _columns in self._tables():
+        for name, _path, columns in self.day.tables():
             f = self._files[name]
             f.flush()
             f.truncate(0)
             f.seek(0)
-            self._writers[name].writeheader()
+            self._writers[name].writerow(columns)
         self.flush()
 
     # ------------------------------------------------------------------
@@ -448,14 +445,8 @@ def read_telemetry_slice(
     and no re-reading of earlier days.
     """
     day = ArchiveDay.in_directory(directory)
-    tables = {
-        "video_sent": (day.video_sent, _SENT_COLUMNS),
-        "video_acked": (day.video_acked, _ACKED_COLUMNS),
-        "client_buffer": (day.client_buffer, _BUFFER_COLUMNS),
-    }
     telemetry = TelemetryLog()
-    for name in sorted(tables):
-        path, columns = tables[name]
+    for name, path, columns in sorted(day.tables()):
         if name not in start_offsets:
             raise ValueError(f"no start offset for table {name!r}")
         end = None if end_offsets is None else int(end_offsets[name])

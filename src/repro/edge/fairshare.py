@@ -82,5 +82,6 @@ def max_min_shares(
         for i in capped:
             shares[i] = cap_f[i]
             remaining -= cap_f[i]
-        active = [i for i in active if i not in set(capped)]
+        frozen = set(capped)
+        active = [i for i in active if i not in frozen]
     return [float(s) for s in shares]

@@ -662,6 +662,9 @@ def run_fleet_retrain(
         )
         del window_slices[: max(0, len(window_slices) - retrain.window_days)]
         day_start_offsets = end_offsets
+        # Built once for both training and the registry evaluation: the
+        # features and labels read neither the weights nor the tail
+        # calibration, so retraining leaves them valid.
         datasets = retrainer.window_datasets()
         if datasets is not None:
             # The in-situ tail calibration uses the same window as
@@ -674,7 +677,7 @@ def run_fleet_retrain(
                     for stream in streams
                 ]
             )
-            retrainer.retrain()
+            retrainer.retrain(datasets)
             evaluator = TtpTrainer(predictor)
             evaluation = []
             for k, dataset in enumerate(datasets):

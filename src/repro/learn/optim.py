@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -81,21 +81,46 @@ class Adam(Optimizer):
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        self._m: Dict[str, Array] = {}
-        self._v: Dict[str, Array] = {}
+        self._m: Optional[Array] = None
+        self._v: Optional[Array] = None
         self._t = 0
 
     def step(self) -> None:
+        """One update of every parameter.
+
+        The moments are kept flat over all parameters, so the update is a
+        handful of array operations however many layers the model has;
+        every operation is elementwise, so each weight gets exactly the
+        bits of a per-parameter update.
+        """
         self._t += 1
         bc1 = 1.0 - self.beta1**self._t
         bc2 = 1.0 - self.beta2**self._t
-        for name, value, grad in self._params():
-            if self.weight_decay:
-                grad = grad + self.weight_decay * value
-            m = self._m.setdefault(name, np.zeros_like(value))
-            v = self._v.setdefault(name, np.zeros_like(value))
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad**2
-            value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        params = [(value, grad) for _, value, grad in self._params()]
+        grad = np.concatenate([g.ravel() for _, g in params])
+        if self.weight_decay:
+            grad += self.weight_decay * np.concatenate(
+                [value.ravel() for value, _ in params]
+            )
+        if self._m is None or self._v is None:
+            self._m = np.zeros_like(grad)
+            self._v = np.zeros_like(grad)
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        np.square(grad, out=grad)
+        grad *= 1.0 - self.beta2
+        v += grad
+        # update = lr * (m / bc1) / (sqrt(v / bc2) + eps), in place.
+        update = np.divide(m, bc1)
+        update *= self.lr
+        denom = np.divide(v, bc2, out=grad)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update /= denom
+        start = 0
+        for value, _ in params:
+            end = start + value.size
+            value -= update[start:end].reshape(value.shape)
+            start = end
